@@ -11,7 +11,45 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.formats.base import SparseMatrix, check_shape
 
-__all__ = ["COOMatrix"]
+__all__ = ["COOMatrix", "canonical_order", "column_order"]
+
+#: Width of one LSD radix digit in :func:`column_order`.  numpy's stable
+#: argsort is a radix sort only for keys of 16 bits or less; wider keys
+#: fall back to timsort, several times slower on graph-sized inputs.
+_DIGIT_BITS = 16
+
+
+def column_order(cols: np.ndarray, n_cols: int) -> np.ndarray:
+    """Stable argsort of column indices in ``[0, n_cols)``.
+
+    Sorts one 16-bit digit at a time, least significant first, so every
+    pass is a numpy radix sort.  On row-sorted triples the result is the
+    permutation ``np.lexsort((rows, cols))`` would give: ties keep their
+    input order, which is ascending row, then input order.  That makes
+    it the whole transpose of a :class:`COOMatrix`.
+    """
+    order = np.argsort(cols.astype(np.uint16), kind="stable")
+    shift = _DIGIT_BITS
+    while n_cols > 1 << shift:
+        digit = cols >> shift
+        top = n_cols <= 1 << (shift + 8)
+        digit = digit.astype(np.uint8 if top else np.uint16)
+        order = order[np.argsort(digit[order], kind="stable")]
+        shift += _DIGIT_BITS
+    return order
+
+
+def canonical_order(rows: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
+    """Permutation that ``(row, col)``-sorts the triples stably.
+
+    Returns ``None`` when they already are sorted: one O(nnz) check
+    spares the ``np.lexsort``, whose permutation would be the identity.
+    """
+    if rows.size > 1:
+        step = np.diff(rows)
+        if (step < 0).any() or ((step == 0) & (np.diff(cols) < 0)).any():
+            return np.lexsort((cols, rows))
+    return None
 
 
 class COOMatrix(SparseMatrix):
@@ -71,12 +109,18 @@ class COOMatrix(SparseMatrix):
         *,
         sum_duplicates: bool = True,
     ) -> "COOMatrix":
-        """Build from unsorted (and possibly duplicated) triples."""
+        """Build from unsorted (and possibly duplicated) triples.
+
+        The result never shares memory with the inputs.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         data = np.asarray(data, dtype=np.float64)
-        order = np.lexsort((cols, rows))
-        rows, cols, data = rows[order], cols[order], data[order]
+        order = canonical_order(rows, cols)
+        if order is None:
+            rows, cols, data = rows.copy(), cols.copy(), data.copy()
+        else:
+            rows, cols, data = rows[order], cols[order], data[order]
         if sum_duplicates and rows.size:
             keep = np.ones(rows.size, dtype=bool)
             keep[1:] = (np.diff(rows) != 0) | (np.diff(cols) != 0)
@@ -139,11 +183,35 @@ class COOMatrix(SparseMatrix):
     # Utilities
     # ------------------------------------------------------------------
 
+    @classmethod
+    def _from_row_sorted(
+        cls,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        data: np.ndarray,
+        shape: tuple[int, int],
+    ) -> "COOMatrix":
+        """Internal: adopt fresh row-sorted triples, ``(row, col)``-sorting
+        them only when some row's columns are out of order.
+
+        Equal to ``from_unsorted(..., sum_duplicates=False)`` without its
+        copies; callers must not keep using the arrays.
+        """
+        order = canonical_order(rows, cols)
+        if order is not None:
+            rows, cols, data = rows[order], cols[order], data[order]
+        return cls(rows, cols, data, shape)
+
     def transpose(self) -> "COOMatrix":
-        """Return the transposed matrix (row-sorted)."""
-        return COOMatrix.from_unsorted(
-            self.cols, self.rows, self.data, (self.n_cols, self.n_rows),
-            sum_duplicates=False,
+        """Return the transposed matrix, ``(row, col)``-sorted.
+
+        Needs no lexsort: rows are already ascending, so a stable sort by
+        column alone orders the transposed entries by ``(row, col)``.
+        """
+        order = column_order(self.cols, self.n_cols)
+        return COOMatrix(
+            self.cols[order], self.rows[order], self.data[order],
+            (self.n_cols, self.n_rows),
         )
 
     def permute(

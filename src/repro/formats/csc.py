@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.formats.base import SparseMatrix, check_shape
-from repro.formats.coo import COOMatrix
+from repro.formats.coo import COOMatrix, column_order
 
 __all__ = ["CSCMatrix"]
 
@@ -56,10 +56,13 @@ class CSCMatrix(SparseMatrix):
 
     @classmethod
     def from_coo(cls, coo: COOMatrix) -> "CSCMatrix":
-        """Build from a COO matrix (any row order)."""
-        order = np.lexsort((coo.rows, coo.cols))
-        cols = coo.cols[order]
-        counts = np.bincount(cols, minlength=coo.n_cols)
+        """Build from a COO matrix; each column's rows come out ascending.
+
+        COO rows are ascending, so a stable sort by column alone is the
+        ``(col, row)`` order.
+        """
+        order = column_order(coo.cols, coo.n_cols)
+        counts = np.bincount(coo.cols, minlength=coo.n_cols)
         indptr = np.zeros(coo.n_cols + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         return cls(indptr, coo.rows[order], coo.data[order], coo.shape)
@@ -78,9 +81,12 @@ class CSCMatrix(SparseMatrix):
         return CSCPlan(self)
 
     def to_coo(self) -> COOMatrix:
+        # Columns are ascending here, so a stable sort by row index alone
+        # gives the (row, col) order, as in COOMatrix.transpose.
         col_of = np.repeat(np.arange(self.n_cols), np.diff(self.indptr))
-        return COOMatrix.from_unsorted(
-            self.indices, col_of, self.data, self.shape, sum_duplicates=False
+        order = column_order(self.indices, self.n_rows)
+        return COOMatrix(
+            self.indices[order], col_of[order], self.data[order], self.shape
         )
 
     def _compute_col_lengths(self) -> np.ndarray:

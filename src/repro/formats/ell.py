@@ -152,13 +152,14 @@ class ELLMatrix(SparseMatrix):
         return ELLPlan(self)
 
     def to_coo(self) -> COOMatrix:
+        # Row-major ``nonzero`` yields the entries row-sorted, in slot
+        # order; only rows whose slots hold descending columns need a sort.
         rows, slots = np.nonzero(self.valid)
-        return COOMatrix.from_unsorted(
+        return COOMatrix._from_row_sorted(
             rows,
             self.indices[rows, slots],
             self.data[rows, slots],
             self.shape,
-            sum_duplicates=False,
         )
 
     def _compute_row_lengths(self) -> np.ndarray:

@@ -97,11 +97,37 @@ class HYBMatrix(SparseMatrix):
         return HYBPlan(self)
 
     def to_coo(self) -> COOMatrix:
-        head = self.ell.to_coo()
-        return COOMatrix.from_unsorted(
-            np.concatenate([head.rows, self.coo.rows]),
-            np.concatenate([head.cols, self.coo.cols]),
-            np.concatenate([head.data, self.coo.data]),
-            self.shape,
-            sum_duplicates=False,
+        """Merge head and tail back into one ``(row, col)``-sorted COO.
+
+        Each row's ELL slots come first, then its COO tail entries, at
+        positions given by the row-length prefix sums.  For a HYB split
+        from a ``(row, col)``-sorted COO that is already the sorted
+        order, so no sort runs; otherwise the stable lexsort of
+        :meth:`COOMatrix._from_row_sorted` gives the order a lexsort of
+        the concatenated parts would.
+        """
+        ell, tail = self.ell, self.coo
+        head_rows, slots = np.nonzero(ell.valid)
+        head_len = np.bincount(head_rows, minlength=self.n_rows)
+        tail_len = np.bincount(tail.rows, minlength=self.n_rows)
+        head_start = np.zeros(self.n_rows + 1, dtype=np.int64)
+        np.cumsum(head_len, out=head_start[1:])
+        tail_start = np.zeros(self.n_rows + 1, dtype=np.int64)
+        np.cumsum(tail_len, out=tail_start[1:])
+        # Row r starts at head_start[r] + tail_start[r] and holds its
+        # head entries, then its tail entries: the i-th head entry
+        # overall lands at i + tail_start[r], the j-th tail entry at
+        # j + head_start[r + 1].
+        head_pos = np.arange(head_rows.size) + tail_start[head_rows]
+        tail_pos = np.arange(tail.nnz) + head_start[tail.rows + 1]
+        nnz = head_rows.size + tail.nnz
+        rows = np.repeat(
+            np.arange(self.n_rows, dtype=np.int64), head_len + tail_len
         )
+        cols = np.empty(nnz, dtype=np.int64)
+        data = np.empty(nnz, dtype=np.float64)
+        cols[head_pos] = ell.indices[head_rows, slots]
+        cols[tail_pos] = tail.cols
+        data[head_pos] = ell.data[head_rows, slots]
+        data[tail_pos] = tail.data
+        return COOMatrix._from_row_sorted(rows, cols, data, self.shape)

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import CheckpointError, ValidationError
 from repro.formats.base import SparseMatrix
-from repro.formats.coo import COOMatrix
+from repro.formats.coo import COOMatrix, canonical_order
 from repro.gpu.spec import DeviceSpec
 from repro.kernels.base import SpMVKernel, create
 from repro.mining.power_method import (
@@ -45,18 +45,20 @@ def hits_operator(adjacency: COOMatrix) -> COOMatrix:
         raise ValidationError("HITS needs a square adjacency matrix")
     n = adjacency.n_rows
     # Top-right block: A^T at rows [0, n), columns [n, 2n).
-    top_rows = adjacency.cols
-    top_cols = adjacency.rows + n
-    # Bottom-left block: A at rows [n, 2n), columns [0, n).
-    bottom_rows = adjacency.rows + n
-    bottom_cols = adjacency.cols
-    return COOMatrix.from_unsorted(
-        np.concatenate([top_rows, bottom_rows]),
-        np.concatenate([top_cols, bottom_cols]),
-        np.concatenate([adjacency.data, adjacency.data]),
-        (2 * n, 2 * n),
-        sum_duplicates=False,
-    )
+    top = adjacency.transpose()
+    # Bottom-left block: A at rows [n, 2n), columns [0, n).  Every top
+    # row precedes every bottom row, so two (row, col)-sorted halves
+    # concatenate into a sorted whole.
+    order = canonical_order(adjacency.rows, adjacency.cols)
+    bottom = (adjacency.rows, adjacency.cols, adjacency.data)
+    if order is not None:
+        bottom = tuple(a[order] for a in bottom)
+    rows = np.concatenate([top.rows, bottom[0]])
+    rows[top.nnz:] += n
+    cols = np.concatenate([top.cols, bottom[1]])
+    cols[:top.nnz] += n
+    data = np.concatenate([top.data, bottom[2]])
+    return COOMatrix(rows, cols, data, (2 * n, 2 * n))
 
 
 def hits(

@@ -46,13 +46,9 @@ def pagerank_operator(adjacency: COOMatrix) -> COOMatrix:
     out_deg = adjacency.row_lengths().astype(np.float64)
     weights = np.where(out_deg[adjacency.rows] > 0,
                        1.0 / np.maximum(out_deg[adjacency.rows], 1), 0.0)
-    return COOMatrix.from_unsorted(
-        adjacency.cols,
-        adjacency.rows,
-        weights,
-        (adjacency.n_cols, adjacency.n_rows),
-        sum_duplicates=False,
-    )
+    return COOMatrix(
+        adjacency.rows, adjacency.cols, weights, adjacency.shape
+    ).transpose()
 
 
 def pagerank(
