@@ -265,8 +265,9 @@ class SparseMatrix(abc.ABC):
         """Monotonic mutation counter.
 
         Plain matrices are immutable, so this is constant ``0``;
-        :class:`~repro.graphs.dynamic.DynamicMatrix` bumps it on every
-        ``apply_updates``/``compact``.  Long-lived holders of derived
+        :class:`~repro.graphs.dynamic.DynamicMatrix` bumps it once per
+        committed ``apply_updates`` batch (compaction changes only the
+        representation and keeps the version).  Long-lived holders of derived
         state — the sharded executor's per-shard plans above all —
         snapshot this value and refresh when it moves.
         """

@@ -38,6 +38,15 @@ runs with the overlay's repaired runs in one O(nnz) scatter — no global
 sort — and repair-capable constructors (COO pass-through, CSR counting
 pass) rebuild only bookkeeping.  Everything else falls back to the
 registered full ``build`` and is counted honestly as a rebuild.
+
+Version contract: ``data_version`` counts committed batches.  One
+``apply_updates`` call that changes the matrix is exactly one new
+version — also when it crosses the threshold and compacts — and
+``compact`` changes only the representation, never the version.  The
+base and its overlay are published together as one immutable
+snapshot, so a reader that sees version ``v`` multiplies exactly the
+content committed as ``v``, whether it caught the overlaid or the
+compacted representation (the two are bitwise-equal, see above).
 """
 
 from __future__ import annotations
@@ -79,11 +88,11 @@ DEFAULT_NNZ_DELTA = 0.25
 
 
 class _OverlayState:
-    """One immutable snapshot of the overlay.
+    """One immutable snapshot of the base matrix and its overlay.
 
     ``apply_updates``/``compact`` build a fresh instance and publish it
     with a single reference assignment, so concurrent readers always
-    see a consistent (touched_rows, entries, version) triple — the
+    see a consistent (base, touched_rows, entries, version) tuple — the
     property the query-during-update hammer test leans on.
 
     ``cols``/``data`` hold **all** current entries of the touched rows
@@ -97,6 +106,7 @@ class _OverlayState:
     """
 
     __slots__ = (
+        "base",
         "touched_rows",
         "cols",
         "data",
@@ -107,9 +117,10 @@ class _OverlayState:
     )
 
     def __init__(
-        self, touched_rows, cols, data, indptr, version, delta_ops,
+        self, base, touched_rows, cols, data, indptr, version, delta_ops,
         base_touched_nnz,
     ):
+        self.base = base
         self.touched_rows = touched_rows
         self.cols = cols
         self.data = data
@@ -121,10 +132,10 @@ class _OverlayState:
             arr.setflags(write=False)
 
     @classmethod
-    def empty(cls, version: int = 0) -> "_OverlayState":
+    def empty(cls, base, version: int = 0) -> "_OverlayState":
         e = np.zeros(0, dtype=np.int64)
         return cls(
-            e, e, np.zeros(0, dtype=np.float64),
+            base, e, e, np.zeros(0, dtype=np.float64),
             np.zeros(1, dtype=np.int64), version, 0, 0,
         )
 
@@ -232,18 +243,22 @@ class DynamicMatrix(SparseMatrix):
             )
         self.shape = base.shape
         self.nnz_delta = nnz_delta
-        self._base = base
         self._spec = spec_for(base)
         #: Non-bitwise layouts cannot keep untouched rows bit-stable
         #: under an overlay pass; fold every batch immediately.
         self._eager_compact = self._spec is None or not self._spec.bitwise
-        self._state = _OverlayState.empty()
+        self._state = _OverlayState.empty(base)
         self._lock = threading.Lock()
-        self._plan_cache: dict[str, tuple[int, SpMVPlan]] = {}
-        self._base_indptr: np.ndarray | None = None
-        self._base_coo: COOMatrix | None = None
-        self._coo_cache: tuple[int, COOMatrix] | None = None
-        self._lengths_cache: tuple[int, np.ndarray, np.ndarray] | None = None
+        # Derived-state caches, each keyed by the snapshot (or base) it
+        # was computed from, compared by identity: a reader holding an
+        # older snapshot can never pick up, or plant, a mismatched value.
+        self._plan_cache: dict[str, tuple[_OverlayState, SpMVPlan]] = {}
+        self._base_indptr: tuple[SparseMatrix, np.ndarray] | None = None
+        self._base_coo: tuple[SparseMatrix, COOMatrix] | None = None
+        self._coo_cache: tuple[_OverlayState, COOMatrix] | None = None
+        self._lengths_cache: (
+            tuple[_OverlayState, np.ndarray, np.ndarray] | None
+        ) = None
         #: Honest operation counters (mirrored as ``dynamic.*`` metrics
         #: when metrics are enabled) — the differential suite's
         #: no-silent-fallback assertion reads ``stats["rebuilds"]``.
@@ -263,7 +278,7 @@ class DynamicMatrix(SparseMatrix):
     @property
     def base(self) -> SparseMatrix:
         """The current compacted base matrix (read-only view)."""
-        return self._base
+        return self._state.base
 
     @property
     def format_name(self) -> str | None:
@@ -282,22 +297,22 @@ class DynamicMatrix(SparseMatrix):
     @property
     def nnz(self) -> int:
         state = self._state
-        return self._base.nnz - state.base_touched_nnz + state.data.size
+        return state.base.nnz - state.base_touched_nnz + state.data.size
 
     @property
     def nbytes(self) -> int:
         state = self._state
-        return self._base.nbytes + self._array_bytes(
+        return state.base.nbytes + self._array_bytes(
             state.touched_rows, state.cols, state.data, state.indptr
         )
 
     def to_coo(self) -> COOMatrix:
         state = self._state
         cached = self._coo_cache
-        if cached is not None and cached[0] == state.version:
+        if cached is not None and cached[0] is state:
             return cached[1]
         coo = self._merged_coo(state)
-        self._coo_cache = (state.version, coo)
+        self._coo_cache = (state, coo)
         return coo
 
     def coo_snapshot(self) -> COOMatrix:
@@ -314,18 +329,18 @@ class DynamicMatrix(SparseMatrix):
 
     def _lengths(self, state) -> tuple[np.ndarray, np.ndarray]:
         cached = self._lengths_cache
-        if cached is not None and cached[0] == state.version:
+        if cached is not None and cached[0] is state:
             return cached[1], cached[2]
         if state.touched_rows.size == 0:
-            rl = np.asarray(self._base.row_lengths())
-            cl = np.asarray(self._base.col_lengths())
+            rl = np.asarray(state.base.row_lengths())
+            cl = np.asarray(state.base.col_lengths())
         else:
             coo = self._merged_coo(state)
             rl = np.bincount(coo.rows, minlength=self.n_rows)
             cl = np.bincount(coo.cols, minlength=self.n_cols)
         rl.setflags(write=False)
         cl.setflags(write=False)
-        self._lengths_cache = (state.version, rl, cl)
+        self._lengths_cache = (state, rl, cl)
         return rl, cl
 
     # ------------------------------------------------------------------
@@ -338,29 +353,29 @@ class DynamicMatrix(SparseMatrix):
         With an empty overlay the base matrix's own cached plan is
         returned untouched (zero steady-state overhead after a
         compaction); otherwise an :class:`OverlayPlan` is built once
-        per (backend, version) and reused until the next mutation.
+        per (backend, snapshot) and reused until the next mutation.
         """
         from repro.exec.backends import _resolve
 
         key = _resolve(backend)
         state = self._state
         if state.touched_rows.size == 0:
-            return self._base.spmv_plan(key)
+            return state.base.spmv_plan(key)
         cached = self._plan_cache.get(key)
-        if cached is not None and cached[0] == state.version:
+        if cached is not None and cached[0] is state:
             return cached[1]
         with self._lock:
             cached = self._plan_cache.get(key)
-            if cached is not None and cached[0] == state.version:
+            if cached is not None and cached[0] is state:
                 return cached[1]
             plan = self._make_plan(key, state)
-            self._plan_cache[key] = (state.version, plan)
+            self._plan_cache[key] = (state, plan)
         return plan
 
     def _make_plan(self, backend: str, state) -> SpMVPlan:
         from repro.exec.backends import build_plan
 
-        base_plan = self._base.spmv_plan(backend)
+        base_plan = state.base.spmv_plan(backend)
         if state.touched_rows.size == 0:
             return base_plan
         # The overlay arrays *are* the touched-row submatrix in CSR
@@ -428,10 +443,11 @@ class DynamicMatrix(SparseMatrix):
         return self
 
     def _over_threshold(self) -> bool:
+        state = self._state
         limit = self.nnz_delta
         if isinstance(limit, float):
-            limit = limit * max(self._base.nnz, 1)
-        return self._state.delta_ops >= max(limit, 1)
+            limit = limit * max(state.base.nnz, 1)
+        return state.delta_ops >= max(limit, 1)
 
     def _normalise(self, updates):
         """Validate a batch and dedupe it to last-write-wins arrays.
@@ -543,35 +559,37 @@ class DynamicMatrix(SparseMatrix):
         last = _last_per_pair(rows, cols)
         return rows[last], cols[last], vals[last], dels[last]
 
-    def _base_canonical_coo(self) -> COOMatrix:
-        """Cached canonical COO of the base (invalidated by compaction).
+    def _base_canonical_coo(self, base) -> COOMatrix:
+        """Cached canonical COO of ``base`` (replaced by compaction).
 
         Formats materialise ``to_coo`` fresh on every call; the overlay
         needs it every batch, so one copy is kept for the base's
         lifetime.
         """
-        coo = self._base_coo
-        if coo is None:
-            coo = self._base.to_coo()
-            self._base_coo = coo
+        cached = self._base_coo
+        if cached is not None and cached[0] is base:
+            return cached[1]
+        coo = base.to_coo()
+        self._base_coo = (base, coo)
         return coo
 
-    def _base_row_ptr(self) -> np.ndarray:
-        """Cached row pointer over the base's canonical COO (invalidated
-        by compaction)."""
-        indptr = self._base_indptr
-        if indptr is None:
-            coo = self._base_canonical_coo()
-            indptr = np.zeros(self.n_rows + 1, dtype=np.int64)
-            if coo.nnz:
-                np.cumsum(
-                    np.bincount(coo.rows, minlength=self.n_rows),
-                    out=indptr[1:],
-                )
-            self._base_indptr = indptr
+    def _base_row_ptr(self, base) -> np.ndarray:
+        """Cached row pointer over the canonical COO of ``base``
+        (replaced by compaction)."""
+        cached = self._base_indptr
+        if cached is not None and cached[0] is base:
+            return cached[1]
+        coo = self._base_canonical_coo(base)
+        indptr = np.zeros(self.n_rows + 1, dtype=np.int64)
+        if coo.nnz:
+            np.cumsum(
+                np.bincount(coo.rows, minlength=self.n_rows),
+                out=indptr[1:],
+            )
+        self._base_indptr = (base, indptr)
         return indptr
 
-    def _base_entries_of(self, row_ids):
+    def _base_entries_of(self, base, row_ids):
         """Triples of the base matrix restricted to ``row_ids`` (sorted),
         keeping original row numbers.
 
@@ -579,11 +597,11 @@ class DynamicMatrix(SparseMatrix):
         + entries gathered) per call, so a stream of small batches
         never pays a full-nnz scan per batch.
         """
-        coo = self._base_canonical_coo()
+        coo = self._base_canonical_coo(base)
         if row_ids.size == 0 or coo.nnz == 0:
             e = np.zeros(0, dtype=np.int64)
             return e, e, np.zeros(0, dtype=np.float64)
-        indptr = self._base_row_ptr()
+        indptr = self._base_row_ptr(base)
         starts = indptr[row_ids]
         idx = _gather_runs(starts, indptr[row_ids + 1] - starts)
         if idx.size == 0:
@@ -609,7 +627,7 @@ class DynamicMatrix(SparseMatrix):
             in_prev = np.zeros(affected.size, dtype=bool)
             edited_local = np.zeros(0, dtype=np.int64)
         newly = affected[~in_prev]
-        base_r, base_c, base_d = self._base_entries_of(newly)
+        base_r, base_c, base_d = self._base_entries_of(state.base, newly)
         ov_idx = _gather_runs(
             prev_indptr[edited_local], prev_counts[edited_local]
         )
@@ -701,12 +719,12 @@ class DynamicMatrix(SparseMatrix):
         dest = _gather_runs(indptr[loc_aff], aff_counts)
         out_c[dest] = aff_c
         out_v[dest] = aff_v
-        bp = self._base_row_ptr()
+        bp = self._base_row_ptr(state.base)
         base_touched_nnz = state.base_touched_nnz + int(
             (bp[newly + 1] - bp[newly]).sum()
         )
         return _OverlayState(
-            touched, out_c, out_v, indptr,
+            state.base, touched, out_c, out_v, indptr,
             state.version + 1,
             state.delta_ops + int(op_rows.size),
             base_touched_nnz,
@@ -724,12 +742,12 @@ class DynamicMatrix(SparseMatrix):
         already carries its entries in per-row (ascending column)
         order, so rank-within-row arithmetic places every triple.
         """
-        base_coo = self._base_canonical_coo()
+        base_coo = self._base_canonical_coo(state.base)
         touched = state.touched_rows
         if touched.size == 0:
             return base_coo
         n_rows = self.n_rows
-        base_indptr = self._base_row_ptr()
+        base_indptr = self._base_row_ptr(state.base)
         base_rl = np.diff(base_indptr)
         ov_counts = np.diff(state.indptr)
         final_rl = base_rl.copy()
@@ -772,7 +790,8 @@ class DynamicMatrix(SparseMatrix):
         constructor; everything else re-runs the full registered
         ``build`` and is counted as a rebuild.  The swap is atomic and
         fault-injected *before* commit, so an injected error leaves the
-        pre-compaction state intact.
+        pre-compaction state intact.  The content is unchanged, so the
+        new snapshot keeps the current ``data_version``.
         """
         with self._lock:
             state = self._state
@@ -798,8 +817,8 @@ class DynamicMatrix(SparseMatrix):
             else:
                 new_base = spec.build(merged)
                 repaired = False
-            self._base = new_base
-            self._state = _OverlayState.empty(state.version + 1)
+            self._state = _OverlayState.empty(new_base, state.version)
+            # Drop caches of the old representation so it can be freed.
             self._base_indptr = None
             self._base_coo = None
             self._coo_cache = None
@@ -819,7 +838,7 @@ class DynamicMatrix(SparseMatrix):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"DynamicMatrix({type(self._base).__name__}, shape={self.shape}, "
+            f"DynamicMatrix({type(self.base).__name__}, shape={self.shape}, "
             f"nnz={self.nnz}, overlay={self.overlay_nnz}, "
             f"version={self.data_version})"
         )
