@@ -18,9 +18,11 @@ from repro.gpu.spec import DeviceSpec
 from repro.kernels.base import SpMVKernel, create
 from repro.mining.power_method import (
     MiningResult,
+    WalkState,
+    checkpoint_hook,
     convergence_trace,
+    damped_walk,
     finish_run,
-    l1_delta,
     resolve_checkpoint,
     resolve_engine,
     resolve_warm_start,
@@ -136,10 +138,9 @@ def pagerank(
     snapshot = resume_checkpoint(
         resume_from, "pagerank", n=n, damping=damping
     )
-    p0 = np.full(n, 1.0 / n)
     start_iteration = 0
     if snapshot is None:
-        p = p0.copy() if warm is None else warm
+        p = np.full(n, 1.0 / n) if warm is None else warm
     else:
         p = np.array(snapshot.array("p"), dtype=np.float64)
         if p.shape != (n,):
@@ -147,51 +148,43 @@ def pagerank(
                 f"checkpoint vector has shape {p.shape}, expected ({n},)"
             )
         start_iteration = snapshot.iteration
-    # Double-buffered power method: after the plan is built on the first
-    # call, each iteration is one SpMV into a reused buffer plus
-    # in-place vector ops — no per-iteration heap allocation.
-    new_p = np.empty(n)
-    scratch = np.empty(n)
-    base = (1.0 - damping) * p0
-    iterations = start_iteration
-    converged = False
+    walk = WalkState.start(p.reshape(n, 1), iteration=start_iteration)
+    # The teleport term (1 - c) * p0 with p0 the uniform vector.
+    base = np.full((n, 1), (1.0 - damping) * (1.0 / n))
     # Per-iteration residual / dangling-mass / wall-time record; the
-    # shared NULL_TRACE (obs disabled) reduces every hook below to one
-    # attribute test, keeping the loop allocation-free.
+    # shared NULL_TRACE (obs disabled) leaves the hook unset.
     trace = convergence_trace("pagerank", damping=damping, tol=tol)
+    on_residual = None
+    if trace.active:
+        base_mass = float(base.sum())
+        mass = float(p.sum())
+
+        def on_residual(iteration, _j, delta, column):
+            # Probability mass the operator lost at dangling nodes
+            # (rows of W^T with no incoming weight): in minus out, the
+            # product's mass recovered from the damped update.
+            nonlocal mass
+            mass_in, mass = mass, float(column.sum())
+            dangling = mass_in - (mass - base_mass) / damping
+            trace.record(
+                iteration, delta, dangling_mass=dangling, mass=mass
+            )
+
+    on_iteration = checkpoint_hook(
+        ckpt_config, "pagerank", {"n": n, "damping": damping, "tol": tol},
+        lambda walk: {"p": walk.R[:, 0].copy()},
+    )
     with resolve_engine(
         spmv, operator, executor, n_shards, tune=tune,
         shard_mode=shard_mode,
     ) as engine:
         trace.tick()
-        for iterations in range(start_iteration + 1, max_iter + 1):
-            engine.spmv(p, out=new_p)
-            if trace.active:
-                # Probability mass the operator lost at dangling nodes
-                # (rows of W^T with no incoming weight): in minus out.
-                dangling = float(p.sum() - new_p.sum())
-            np.multiply(new_p, damping, out=new_p)
-            new_p += base
-            delta = l1_delta(new_p, p, scratch=scratch)
-            p, new_p = new_p, p
-            if trace.active:
-                trace.record(
-                    iterations, delta,
-                    dangling_mass=dangling, mass=float(p.sum()),
-                )
-            if ckpt_config is not None and ckpt_config.due(iterations):
-                from repro.resilience.checkpoint import Checkpoint
-
-                ckpt_config.save(Checkpoint(
-                    algorithm="pagerank",
-                    iteration=iterations,
-                    arrays={"p": p.copy()},
-                    params={"n": n, "damping": damping, "tol": tol},
-                ))
-            if delta < tol:
-                converged = True
-                break
+        damped_walk(
+            engine, walk, base, alpha=damping, tol=tol, max_iter=max_iter,
+            on_residual=on_residual, on_iteration=on_iteration,
+        )
         shards_used = getattr(engine, "n_shards", 1)
+    iterations = walk.iteration
     dev = spmv.device
     per_iteration = (
         spmv.cost()
@@ -212,9 +205,9 @@ def pagerank(
     return finish_run(trace, MiningResult(
         algorithm="pagerank",
         kernel_name=spmv.name,
-        vector=p,
+        vector=walk.frozen[:, 0],
         iterations=iterations,
-        converged=converged,
+        converged=bool(walk.converged[0]),
         per_iteration=per_iteration,
         total_cost=total,
         extra=extra,

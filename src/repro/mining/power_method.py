@@ -1,8 +1,11 @@
-"""Shared power-method infrastructure for the mining algorithms."""
+"""Shared power-method infrastructure: the damped power loop and the
+run plumbing (engine, checkpoint, warm start, trace) of the mining
+algorithms."""
 
 from __future__ import annotations
 
 import os
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -15,7 +18,10 @@ from repro.obs.convergence import convergence_trace
 
 __all__ = [
     "MiningResult",
+    "WalkState",
+    "checkpoint_hook",
     "convergence_trace",
+    "damped_walk",
     "finish_run",
     "l1_delta",
     "resolve_checkpoint",
@@ -115,6 +121,26 @@ def resolve_checkpoint(checkpoint):
     from repro.resilience.checkpoint import normalize_checkpoint
 
     return normalize_checkpoint(checkpoint)
+
+
+def checkpoint_hook(config, algorithm: str, params: dict, arrays):
+    """The :func:`damped_walk` ``on_iteration`` hook that snapshots
+    ``arrays(walk)`` whenever ``config`` is due (``None`` without a
+    config)."""
+    if config is None:
+        return None
+    from repro.resilience.checkpoint import Checkpoint
+
+    def on_iteration(walk):
+        if config.due(walk.iteration):
+            config.save(Checkpoint(
+                algorithm=algorithm,
+                iteration=walk.iteration,
+                arrays=arrays(walk),
+                params=params,
+            ))
+
+    return on_iteration
 
 
 def resume_checkpoint(resume_from, algorithm: str, **require):
@@ -233,6 +259,135 @@ def l1_delta(
     np.subtract(new, old, out=scratch)
     np.abs(scratch, out=scratch)
     return float(scratch.sum())
+
+
+@dataclass
+class WalkState:
+    """Per-column state of a :func:`damped_walk` over an ``(n, k)`` block.
+
+    ``R`` is the current C-ordered iterate and ``iteration`` the last
+    completed iteration.  A column stops when it converges, when its
+    deadline passes (``expired``) or, without being flagged either way,
+    when the iteration budget runs out; ``frozen[:, j]`` holds its
+    answer from then on (and the start iterate before).  This is the
+    whole state the loop carries across iterations, so a walk resumes
+    bitwise from a copy of it.
+    """
+
+    R: np.ndarray
+    frozen: np.ndarray
+    active: np.ndarray
+    converged: np.ndarray
+    expired: np.ndarray
+    iteration_counts: np.ndarray
+    iteration: int = 0
+
+    @classmethod
+    def start(cls, R: np.ndarray, *, iteration: int = 0) -> "WalkState":
+        """A fresh walk from the iterate block ``R`` (owned, C-ordered)."""
+        R = np.ascontiguousarray(R)
+        k = R.shape[1]
+        return cls(
+            R=R,
+            frozen=R.copy(),
+            active=np.ones(k, dtype=bool),
+            converged=np.zeros(k, dtype=bool),
+            expired=np.zeros(k, dtype=bool),
+            iteration_counts=np.full(k, iteration, dtype=np.int64),
+            iteration=iteration,
+        )
+
+
+def damped_walk(
+    engine,  # anything with spmv(x, out=) and spmm(X, out=)
+    walk: WalkState,
+    base: np.ndarray,
+    *,
+    alpha: float,
+    tol: float,
+    max_iter: int,
+    deadlines=None,
+    clock=time.monotonic,
+    on_residual=None,
+    on_iteration=None,
+) -> WalkState:
+    """Advance ``walk`` by ``R <- alpha * (A @ R) + base`` until every
+    column stops or iteration ``max_iter`` is done.
+
+    The one damped power loop behind PageRank (k = 1), RWR (k =
+    queries), the served seeded walks and the multi-GPU PageRank.
+    Column ``j`` of a width-``k`` walk is bit-identical to the
+    width-1 walk of column ``j`` alone, because every step is:
+
+    * the product: ``engine.spmm(R)[:, j] == engine.spmv(R[:, j])``,
+      the executor/plan contract the exec suite pins for every format,
+      backend and shard count (k = 1 calls ``spmv`` on the contiguous
+      column view);
+    * the update: an elementwise scalar multiply-add, so column ``j``
+      of ``alpha * Y + B`` equals ``alpha * Y[:, j] + B[:, j]``;
+    * the residual: ``l1_delta``'s subtract, abs and pairwise sum.  At
+      k = 1 it is ``l1_delta`` itself on the contiguous columns.  At
+      k > 1 subtract and abs run over the whole block (elementwise, so
+      the same values) and each active column is staged into one
+      contiguous buffer before its ``sum()`` — the exact bytes and
+      pairwise tree of the solo reduction.  Staging the difference
+      block costs one strided copy per column instead of two.
+
+    A converged column is frozen at its new iterate and then only rides
+    along: its extra products cannot perturb the other columns.
+    ``deadlines`` (per column, absolute ``clock()`` instants or
+    ``None``) are checked before each step; an expired column is frozen
+    at its current iterate.  Hooks: ``on_residual(iteration, j, delta,
+    column)`` after each active column's residual (``column`` is its new
+    iterate), and ``on_iteration(walk)`` after each completed iteration.
+    """
+    R = walk.R
+    n, k = R.shape
+    active, frozen = walk.active, walk.frozen
+    R_new = np.empty_like(R)
+    D = np.empty_like(R) if k > 1 else None
+    scratch = np.empty(n)
+    for iteration in range(walk.iteration + 1, max_iter + 1):
+        if deadlines is not None:
+            now = clock()
+            for j in np.nonzero(active)[0]:
+                limit = deadlines[j]
+                if limit is not None and now >= limit:
+                    active[j] = False
+                    walk.expired[j] = True
+                    frozen[:, j] = R[:, j]
+        if not active.any():
+            break
+        if D is None:
+            engine.spmv(R[:, 0], out=R_new[:, 0])
+        else:
+            engine.spmm(R, out=R_new)
+        np.multiply(R_new, alpha, out=R_new)
+        R_new += base
+        if D is not None:
+            np.subtract(R_new, R, out=D)
+            np.abs(D, out=D)
+        for j in np.nonzero(active)[0]:
+            if D is None:
+                delta = l1_delta(R_new[:, 0], R[:, 0], scratch=scratch)
+            else:
+                np.copyto(scratch, D[:, j])
+                delta = float(scratch.sum())
+            walk.iteration_counts[j] = iteration
+            if on_residual is not None:
+                on_residual(iteration, j, delta, R_new[:, j])
+            if delta < tol:
+                active[j] = False
+                walk.converged[j] = True
+                frozen[:, j] = R_new[:, j]
+        R, R_new = R_new, R
+        walk.R, walk.iteration = R, iteration
+        if on_iteration is not None:
+            on_iteration(walk)
+    for j in np.nonzero(active)[0]:
+        # Iteration budget reached: the latest iterate, not converged.
+        frozen[:, j] = R[:, j]
+    return walk
 
 
 @dataclass

@@ -21,9 +21,11 @@ from repro.gpu.spec import DeviceSpec
 from repro.kernels.base import SpMVKernel, create
 from repro.mining.power_method import (
     MiningResult,
+    WalkState,
+    checkpoint_hook,
     convergence_trace,
+    damped_walk,
     finish_run,
-    l1_delta,
     resolve_checkpoint,
     resolve_engine,
     resolve_warm_start,
@@ -60,7 +62,6 @@ def random_walk_with_restart(
     seed: int = 11,
     tol: float = 1e-8,
     max_iter: int = 200,
-    batched: bool = True,
     executor=None,
     n_shards: int | str | None = None,
     shard_mode: str | None = None,
@@ -78,42 +79,30 @@ def random_walk_with_restart(
     ``total_cost`` is the **mean** cost over queries (what Table 5
     reports: "the performance is reported by averaging").
 
-    With ``batched`` (the default) all query walks advance together
-    through one SpMM per iteration — the matrix structure is gathered
-    once per step for every seed instead of once per seed per step.
-    Each column evolves independently and its convergence is judged on
-    a contiguous copy with the same reduction the sequential path uses,
-    so per-query iteration counts and vectors are bit-identical to
-    running the seeds one at a time.
+    All query walks advance together as the columns of one
+    :func:`~repro.mining.power_method.damped_walk` — one SpMM per
+    iteration, so the matrix structure is gathered once per step for
+    every seed instead of once per seed per step.  Each column evolves
+    independently, so per-query iteration counts and vectors are
+    bit-identical to running the queries one at a time.
 
     ``executor``/``n_shards`` route each step's SpMV/SpMM through a
     :class:`~repro.exec.ShardedExecutor` built on the column-normalised
     operator; walks stay bit-identical to the single-shard run.
 
-    ``checkpoint``/``resume_from`` snapshot and restore the full batched
-    walk state (``R``/``frozen``/``active``/``iteration_counts`` plus
-    the query set — the checkpoint's queries *are* the resumed run's
-    queries); only the ``batched`` path supports them, the sequential
-    path raises :class:`ValidationError`.
+    ``checkpoint``/``resume_from`` snapshot and restore the full walk
+    state (``R``/``frozen``/``active``/``iteration_counts`` plus the
+    query set — the checkpoint's queries *are* the resumed run's
+    queries).
 
-    ``warm_start`` seeds the batched walk matrix of a fresh run — an
+    ``warm_start`` seeds the walk matrix of a fresh run — an
     ``(n, len(queries))`` array or a checkpoint / ``.npz`` path (its
     ``"R"`` array) from a previous run over the *same query set* —
-    iteration counting restarts at zero; batched-only, mutually
-    exclusive with ``resume_from``.
+    iteration counting restarts at zero; mutually exclusive with
+    ``resume_from``.
     """
     if not 0 < restart < 1:
         raise ValidationError(f"restart must be in (0, 1), got {restart}")
-    if not batched and (
-        checkpoint is not None
-        or resume_from is not None
-        or warm_start is not None
-    ):
-        raise ValidationError(
-            "checkpoint/resume_from/warm_start require batched=True (the "
-            "sequential path interleaves per-query loops and has no single "
-            "resumable iteration state)"
-        )
     coo = adjacency.to_coo()
     operator = rwr_operator(coo)
     fingerprint = matrix_fingerprint(operator)
@@ -164,31 +153,47 @@ def random_walk_with_restart(
         + reduction_cost(n, dev)  # convergence check
     ).relabel(f"rwr/{spmv.name}")
 
-    trace = convergence_trace(
-        "rwr", restart=restart, tol=tol, batched=batched
+    k = queries.size
+    E = np.zeros((n, k))
+    E[queries, np.arange(k)] = 1.0
+    base = (1.0 - restart) * E
+    if snapshot is None:
+        walk = WalkState.start(E if warm is None else warm)
+    else:
+        walk = _resumed_walk(snapshot, n, k)
+    trace = convergence_trace("rwr", restart=restart, tol=tol)
+    on_residual = None
+    if trace.active:
+        def on_residual(iteration, j, delta, _column):
+            trace.record(iteration, delta, query=float(queries[j]))
+
+    on_iteration = checkpoint_hook(
+        ckpt_config, "rwr", {"n": n, "restart": restart, "tol": tol},
+        lambda walk: {
+            "R": walk.R.copy(),
+            "frozen": walk.frozen.copy(),
+            "active": walk.active.copy(),
+            "iteration_counts": walk.iteration_counts.copy(),
+            "queries": queries.copy(),
+        },
     )
     with resolve_engine(
         spmv, operator, executor, n_shards, tune=tune,
         shard_mode=shard_mode,
     ) as engine:
         trace.tick()
-        if batched:
-            iteration_counts, all_converged, r = _run_batched(
-                engine, queries, n, restart, tol, max_iter, trace,
-                ckpt_config=ckpt_config, snapshot=snapshot, warm=warm,
-            )
-        else:
-            iteration_counts, all_converged, r = _run_sequential(
-                engine, queries, n, restart, tol, max_iter, trace
-            )
+        damped_walk(
+            engine, walk, base, alpha=restart, tol=tol, max_iter=max_iter,
+            on_residual=on_residual, on_iteration=on_iteration,
+        )
         shards_used = getattr(engine, "n_shards", 1)
+    iteration_counts = walk.iteration_counts.tolist()
     mean_iterations = float(np.mean(iteration_counts))
     total = per_iteration.scaled(mean_iterations).relabel(per_iteration.label)
     extra = {
         "restart": restart,
         "queries": queries,
         "per_query_iterations": iteration_counts,
-        "batched": batched,
         "n_shards": shards_used,
         "operator_fingerprint": fingerprint,
     }
@@ -199,148 +204,42 @@ def random_walk_with_restart(
     return finish_run(trace, MiningResult(
         algorithm="rwr",
         kernel_name=spmv.name,
-        vector=r,
+        vector=np.ascontiguousarray(walk.frozen[:, -1]),
         iterations=int(round(mean_iterations)),
-        converged=all_converged,
+        converged=not walk.active.any(),
         per_iteration=per_iteration,
         total_cost=total,
         extra=extra,
     ))
 
 
-def _run_sequential(
-    spmv,  # SpMVKernel or ShardedExecutor: anything with spmv(x, out=)
-    queries: np.ndarray,
-    n: int,
-    restart: float,
-    tol: float,
-    max_iter: int,
-    trace,
-) -> tuple[list[int], bool, np.ndarray]:
-    """One power-method run per query (double-buffered)."""
-    iteration_counts: list[int] = []
-    all_converged = True
-    r = np.zeros(n)
-    new_r = np.empty(n)
-    scratch = np.empty(n)
-    base = np.empty(n)
-    for query in queries:
-        e = np.zeros(n)
-        e[query] = 1.0
-        np.multiply(e, 1.0 - restart, out=base)
-        r = e.copy()
-        converged = False
-        iterations = 0
-        for iterations in range(1, max_iter + 1):
-            spmv.spmv(r, out=new_r)
-            np.multiply(new_r, restart, out=new_r)
-            new_r += base
-            delta = l1_delta(new_r, r, scratch=scratch)
-            r, new_r = new_r, r
-            if trace.active:
-                trace.record(iterations, delta, query=float(query))
-            if delta < tol:
-                converged = True
-                break
-        iteration_counts.append(iterations)
-        all_converged &= converged
-    return iteration_counts, all_converged, r
-
-
-def _run_batched(
-    spmv,  # SpMVKernel or ShardedExecutor: anything with spmm(X, out=)
-    queries: np.ndarray,
-    n: int,
-    restart: float,
-    tol: float,
-    max_iter: int,
-    trace,
-    ckpt_config=None,
-    snapshot=None,
-    warm=None,
-) -> tuple[list[int], bool, np.ndarray]:
-    """All query walks in lock step, one SpMM per iteration.
-
-    A column that converges is snapshotted (the sequential run would
-    have stopped there) and thereafter only rides along in the batch;
-    its extra multiplications cannot perturb the other columns because
-    each SpMM column depends only on its own right-hand side.
-
-    The checkpoint state is everything the loop body reads across
-    iterations (``R``/``frozen``/``active``/``iteration_counts``);
-    ``E``/``base`` are pure functions of the queries, so resuming from
-    a snapshot replays the remaining iterations bitwise.
-    """
-    k = queries.size
-    E = np.zeros((n, k))
-    E[queries, np.arange(k)] = 1.0
-    base = (1.0 - restart) * E
-    start_iteration = 0
-    if snapshot is None:
-        R = E.copy() if warm is None else warm
-        frozen = E.copy()
-        active = np.ones(k, dtype=bool)
-        iteration_counts = np.zeros(k, dtype=np.int64)
-    else:
-        R = np.array(snapshot.array("R"), dtype=np.float64)
-        frozen = np.array(snapshot.array("frozen"), dtype=np.float64)
-        active = np.array(snapshot.array("active"), dtype=bool)
-        iteration_counts = np.array(
+def _resumed_walk(snapshot, n: int, k: int) -> WalkState:
+    """The walk state a checkpoint froze.  ``E``/``base`` are pure
+    functions of the queries, so resuming replays the remaining
+    iterations bitwise."""
+    arrays = {
+        "R": np.array(snapshot.array("R"), dtype=np.float64),
+        "frozen": np.array(snapshot.array("frozen"), dtype=np.float64),
+        "active": np.array(snapshot.array("active"), dtype=bool),
+        "iteration_counts": np.array(
             snapshot.array("iteration_counts"), dtype=np.int64
-        )
-        for name, array, shape in (
-            ("R", R, (n, k)),
-            ("frozen", frozen, (n, k)),
-            ("active", active, (k,)),
-            ("iteration_counts", iteration_counts, (k,)),
-        ):
-            if array.shape != shape:
-                raise CheckpointError(
-                    f"checkpoint array {name!r} has shape {array.shape}, "
-                    f"expected {shape}"
-                )
-        start_iteration = snapshot.iteration
-    R_new = np.empty((n, k))
-    col_new = np.empty(n)
-    col_old = np.empty(n)
-    scratch = np.empty(n)
-    for iteration in range(start_iteration + 1, max_iter + 1):
-        if not active.any():
-            break
-        spmv.spmm(R, out=R_new)
-        np.multiply(R_new, restart, out=R_new)
-        R_new += base
-        for j in np.nonzero(active)[0]:
-            np.copyto(col_new, R_new[:, j])
-            np.copyto(col_old, R[:, j])
-            delta = l1_delta(col_new, col_old, scratch=scratch)
-            iteration_counts[j] = iteration
-            if trace.active:
-                trace.record(iteration, delta, query=float(queries[j]))
-            if delta < tol:
-                active[j] = False
-                frozen[:, j] = R_new[:, j]
-        R, R_new = R_new, R
-        if ckpt_config is not None and ckpt_config.due(iteration):
-            from repro.resilience.checkpoint import Checkpoint
-
-            ckpt_config.save(Checkpoint(
-                algorithm="rwr",
-                iteration=iteration,
-                arrays={
-                    "R": R.copy(),
-                    "frozen": frozen.copy(),
-                    "active": active.copy(),
-                    "iteration_counts": iteration_counts.copy(),
-                    "queries": queries.copy(),
-                },
-                params={"n": n, "restart": restart, "tol": tol},
-            ))
-    for j in np.nonzero(active)[0]:
-        frozen[:, j] = R[:, j]
-    all_converged = not active.any()
-    return (
-        iteration_counts.tolist(),
-        all_converged,
-        np.ascontiguousarray(frozen[:, -1]),
+        ),
+    }
+    for name, shape in (
+        ("R", (n, k)),
+        ("frozen", (n, k)),
+        ("active", (k,)),
+        ("iteration_counts", (k,)),
+    ):
+        if arrays[name].shape != shape:
+            raise CheckpointError(
+                f"checkpoint array {name!r} has shape "
+                f"{arrays[name].shape}, expected {shape}"
+            )
+    active = arrays["active"]
+    return WalkState(
+        converged=~active,
+        expired=np.zeros(k, dtype=bool),
+        iteration=snapshot.iteration,
+        **arrays,
     )

@@ -28,7 +28,7 @@ from repro.gpu.costs import CostReport
 from repro.gpu.spec import DeviceSpec
 from repro.kernels.base import SpMVKernel, create
 from repro.mining.pagerank import pagerank_operator
-from repro.mining.power_method import l1_delta
+from repro.mining.power_method import WalkState, damped_walk
 from repro.mining.vector_kernels import axpy_cost, reduction_cost
 from repro.multigpu.bitonic import (
     bitonic_partition,
@@ -468,17 +468,13 @@ def distributed_pagerank(
     op_coo = operator.to_coo()
     row_lengths = op_coo.row_lengths()
     assignment = bitonic_partition(row_lengths, cluster.n_gpus)
-    p0 = np.full(n, 1.0 / n)
-    p = p0.copy()
-    new_p = np.empty(n)
-    scratch = np.empty(n)
-    base = (1.0 - damping) * p0
-    engine = None
-    n_shards = cluster.n_gpus
-    measured = np.zeros(cluster.n_gpus)
-    measured_post = np.zeros(max(cluster.n_gpus - 1, 1))
-    pre_iters = 0
-    post_iters = 0
+    walk = WalkState.start(np.full((n, 1), 1.0 / n))
+    base = np.full((n, 1), (1.0 - damping) * (1.0 / n))
+    engine = operator
+    # Summed per-shard wall seconds of the iterations run on the
+    # current shard configuration (reset when a node fails).
+    shard_seconds = np.zeros(cluster.n_gpus)
+    sampled = 0
     failed = False
 
     def _build_engine(shards: int, shard_assignment: np.ndarray):
@@ -491,86 +487,78 @@ def distributed_pagerank(
             backend=measure_backend,
         )
 
+    def _sample(_walk):
+        nonlocal shard_seconds, sampled
+        shard_seconds += engine.last_shard_seconds
+        sampled += 1
+
+    def _advance(until: int) -> None:
+        damped_walk(
+            engine, walk, base, alpha=damping, tol=tol, max_iter=until,
+            on_iteration=_sample if measure else None,
+        )
+
     if measure:
-        engine = _build_engine(n_shards, assignment)
-    iterations = 0
+        engine = _build_engine(cluster.n_gpus, assignment)
     try:
         with _span(
             "multigpu.distributed_pagerank",
             n_gpus=cluster.n_gpus, measure=measure,
         ) as span:
-            for iterations in range(1, max_iter + 1):
-                if (
-                    fail_node is not None
-                    and not failed
-                    and iterations >= fail_at_iteration
-                ):
-                    failed = True
-                    wall = time.perf_counter()
-                    survivors = cluster.n_gpus - 1
-                    assignment, moved_nnz = repartition_after_failure(
-                        row_lengths, assignment, fail_node,
-                        cluster.n_gpus,
+            if fail_node is not None:
+                # The node drops out at the start of iteration
+                # fail_at_iteration — if the walk gets that far.
+                _advance(min(fail_at_iteration - 1, max_iter))
+                failed = bool(
+                    walk.active.any() and fail_at_iteration <= max_iter
+                )
+            if failed:
+                wall = time.perf_counter()
+                survivors = cluster.n_gpus - 1
+                assignment, moved_nnz = repartition_after_failure(
+                    row_lengths, assignment, fail_node, cluster.n_gpus,
+                )
+                report.post_failure_node_reports = _node_reports(
+                    op_coo, assignment, survivors, cluster, kernel,
+                    check_memory=check_memory, **kernel_options,
+                )
+                report.post_failure_comm_seconds = allgather_seconds(
+                    4 * n, survivors, cluster.network
+                )
+                report.failed_node = fail_node
+                report.failed_at_iteration = fail_at_iteration
+                report.moved_nnz = moved_nnz
+                report.recovery_seconds = recovery_cost_seconds(
+                    moved_nnz, cluster.network
+                )
+                if measure:
+                    engine.close()
+                    engine = _build_engine(survivors, assignment)
+                    shard_seconds = np.zeros(survivors)
+                    sampled = 0
+                report.recovery_wall_seconds = time.perf_counter() - wall
+                if _metrics._ENABLED:
+                    _metrics.METRICS.inc(
+                        "resilience.node_failures", node=fail_node
                     )
-                    report.post_failure_node_reports = _node_reports(
-                        op_coo, assignment, survivors, cluster, kernel,
-                        check_memory=check_memory, **kernel_options,
+                    _metrics.METRICS.observe(
+                        "resilience.recovery.seconds",
+                        report.recovery_wall_seconds,
                     )
-                    report.post_failure_comm_seconds = allgather_seconds(
-                        4 * n, survivors, cluster.network
-                    )
-                    report.failed_node = fail_node
-                    report.failed_at_iteration = iterations
-                    report.moved_nnz = moved_nnz
-                    report.recovery_seconds = recovery_cost_seconds(
-                        moved_nnz, cluster.network
-                    )
-                    if engine is not None:
-                        engine.close()
-                        n_shards = survivors
-                        engine = _build_engine(n_shards, assignment)
-                    report.recovery_wall_seconds = (
-                        time.perf_counter() - wall
-                    )
-                    if _metrics._ENABLED:
-                        _metrics.METRICS.inc(
-                            "resilience.node_failures", node=fail_node
-                        )
-                        _metrics.METRICS.observe(
-                            "resilience.recovery.seconds",
-                            report.recovery_wall_seconds,
-                        )
-                if engine is not None:
-                    engine.spmv(p, out=new_p)
-                    if failed:
-                        measured_post += engine.last_shard_seconds
-                        post_iters += 1
-                    else:
-                        measured += engine.last_shard_seconds
-                        pre_iters += 1
-                else:
-                    operator.spmv(p, out=new_p)
-                np.multiply(new_p, damping, out=new_p)
-                new_p += base
-                delta = l1_delta(new_p, p, scratch=scratch)
-                p, new_p = new_p, p
-                if delta < tol:
-                    break
+            _advance(max_iter)
+            iterations = walk.iteration
             if span is not None:
                 span["attrs"]["iterations"] = iterations
                 if failed:
                     span["attrs"]["failed_node"] = fail_node
                     span["attrs"]["moved_nnz"] = report.moved_nnz
     finally:
-        if engine is not None:
+        if engine is not operator:
             engine.close()
-    if measure and iterations:
-        # Report the configuration that ran the bulk of the iterations:
-        # the survivors after a failure, the full cluster otherwise.
-        if failed and post_iters:
-            report.measured_shard_seconds = measured_post / post_iters
-        elif pre_iters:
-            report.measured_shard_seconds = measured / pre_iters
+    if sampled:
+        # The configuration that ran the bulk of the iterations: the
+        # survivors after a failure, the full cluster otherwise.
+        report.measured_shard_seconds = shard_seconds / sampled
         _report_measurement(report.measured_shard_seconds)
     device = cluster.device
     vector = (
@@ -579,4 +567,4 @@ def distributed_pagerank(
     )
     report.vector_seconds = vector.time_seconds
     report.iterations = iterations
-    return p, report
+    return walk.frozen[:, 0], report

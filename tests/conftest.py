@@ -72,3 +72,38 @@ def random_coo(
     cols = rng.integers(0, n_cols, size=nnz)
     data = rng.standard_normal(nnz)
     return COOMatrix.from_unsorted(rows, cols, data, (n_rows, n_cols))
+
+
+def reference_solo_walk(
+    engine, n: int, seed: int, *, alpha: float, tol: float, max_iter: int,
+    expired: bool = False,
+):
+    """Independent oracle for one seeded walk, written out by hand:
+    SpMV, scalar multiply, ``+= base`` and ``l1_delta`` per iteration.
+
+    Returns ``(vector, iterations, converged)``.  ``expired=True`` is a
+    deadline already passed at entry: the walk stops before its first
+    step, at the restart vector.
+    """
+    from repro.mining.power_method import l1_delta
+
+    e = np.zeros(n)
+    e[seed] = 1.0
+    base = (1.0 - alpha) * e
+    r = e.copy()
+    r_new = np.empty(n)
+    scratch = np.empty(n)
+    iterations = 0
+    converged = False
+    steps = 0 if expired else max_iter
+    for iteration in range(1, steps + 1):
+        engine.spmv(r, out=r_new)
+        np.multiply(r_new, alpha, out=r_new)
+        r_new += base
+        delta = l1_delta(r_new, r, scratch=scratch)
+        iterations = iteration
+        r, r_new = r_new, r
+        if delta < tol:
+            converged = True
+            break
+    return r, iterations, converged

@@ -375,20 +375,30 @@ def test_hits_multi_vector_matches_single_vector():
 
 
 def test_rwr_batched_matches_sequential():
+    # Every column of the batched walk equals the one-query run of its
+    # query: the same iteration count and, bit for bit, the same vector
+    # (the result carries the last column's, so each query takes a turn
+    # at the end of the batch).
     graph = mining_graph(seed=22)
     queries = np.array([3, 17, 41, 8])
-    batched = random_walk_with_restart(
-        graph, kernel="cpu-csr", queries=queries, batched=True
-    )
-    sequential = random_walk_with_restart(
-        graph, kernel="cpu-csr", queries=queries, batched=False
-    )
-    assert (
-        batched.extra["per_query_iterations"]
-        == sequential.extra["per_query_iterations"]
-    )
-    assert batched.converged == sequential.converged
-    assert np.array_equal(batched.vector, sequential.vector)
+    solos = {
+        int(q): random_walk_with_restart(
+            graph, kernel="cpu-csr", queries=[q]
+        )
+        for q in queries
+    }
+    for turn in range(queries.size):
+        order = np.roll(queries, -turn - 1)
+        batched = random_walk_with_restart(
+            graph, kernel="cpu-csr", queries=order
+        )
+        assert batched.extra["per_query_iterations"] == [
+            solos[int(q)].extra["per_query_iterations"][0] for q in order
+        ]
+        assert batched.converged == all(
+            solos[int(q)].converged for q in order
+        )
+        assert np.array_equal(batched.vector, solos[int(order[-1])].vector)
 
 
 # ----------------------------------------------------------------------

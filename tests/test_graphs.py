@@ -213,8 +213,17 @@ class TestStats:
 
 class TestDatasetRegistry:
     def test_all_names_load(self):
-        for name in datasets.list_datasets():
-            ds = datasets.load(name, scale=200)
+        # Scale each name to about 100K of its paper non-zeros at most:
+        # a fixed scale would leave the web crawls (1-5.5 billion paper
+        # non-zeros) at millions of entries, for a check of loadability.
+        specs = {
+            **datasets.POWER_LAW_GRAPHS,
+            **datasets.UNSTRUCTURED_MATRICES,
+            **datasets.WEB_GRAPHS,
+        }
+        assert sorted(specs) == datasets.list_datasets()
+        for name, spec in specs.items():
+            ds = datasets.load(name, scale=max(200, spec.paper_nnz / 1e5))
             assert ds.nnz > 0
             assert ds.name == name
 

@@ -509,15 +509,6 @@ class TestCheckpoint:
             pagerank(graph, kernel="cpu-csr", tol=0.0, max_iter=3,
                      damping=0.5, resume_from=snapshot)
 
-    def test_rwr_sequential_refuses_checkpointing(self):
-        from repro.mining.rwr import random_walk_with_restart
-
-        graph = rmat_graph(64, 256, seed=5)
-        with pytest.raises(ValidationError):
-            random_walk_with_restart(
-                graph, kernel="cpu-csr", batched=False, checkpoint=1
-            )
-
 
 # ----------------------------------------------------------------------
 # Node failure in the cluster simulation

@@ -22,7 +22,7 @@ from repro.errors import (
     ServiceOverloadedError,
     ValidationError,
 )
-from repro.exec.sharded import ShardedExecutor
+from repro.exec.sharded import ShardedExecutor, available_cpu_count
 from repro.formats.coo import COOMatrix
 from repro.graphs.dynamic import DynamicMatrix, seeded_update_stream
 from repro.graphs.rmat import rmat_graph
@@ -38,6 +38,7 @@ from repro.serve import (
     seeded_solo,
     serve_tcp,
 )
+from tests.conftest import reference_solo_walk
 
 
 @pytest.fixture
@@ -88,24 +89,48 @@ class TestSeededBatch:
         engine = make_engine(operator)
         try:
             n = operator.n_rows
-            seeds = [3, 99, 3, 250, 17]  # duplicate seeds coalesce too
-            batch = seeded_batch(
-                engine, n, seeds, alpha=0.85, tol=1e-10, max_iter=200
-            )
-            for seed, column in zip(seeds, batch):
-                solo = seeded_solo(
-                    engine, n, seed, alpha=0.85, tol=1e-10, max_iter=200
+            # Duplicate seeds coalesce too; the last column's deadline
+            # has passed at entry.
+            seeds = [3, 99, 3, 250, 17]
+            deadlines = [None, None, None, None, -1.0]
+            batches = [
+                # width 5 and width 2 take the SpMM path, width 1 SpMV.
+                (seeds, deadlines),
+                (seeds[:2], None),
+                (seeds[1:2], None),
+            ]
+            for batch_seeds, batch_deadlines in batches:
+                batch = seeded_batch(
+                    engine, n, batch_seeds, alpha=0.85, tol=1e-10,
+                    max_iter=200, deadlines=batch_deadlines,
                 )
-                assert column.iterations == solo.iterations
-                assert column.converged and solo.converged
-                assert np.array_equal(column.vector, solo.vector)
+                for j, (seed, column) in enumerate(zip(batch_seeds, batch)):
+                    expired = (
+                        batch_deadlines is not None
+                        and batch_deadlines[j] is not None
+                    )
+                    solo = seeded_solo(
+                        engine, n, seed, alpha=0.85, tol=1e-10,
+                        max_iter=200,
+                        deadline=batch_deadlines[j] if expired else None,
+                    )
+                    vector, iterations, converged = reference_solo_walk(
+                        engine, n, seed, alpha=0.85, tol=1e-10,
+                        max_iter=200, expired=expired,
+                    )
+                    assert column.expired == solo.expired == expired
+                    assert column.converged == solo.converged == converged
+                    assert converged != expired
+                    assert column.iterations == solo.iterations == iterations
+                    assert np.array_equal(column.vector, solo.vector)
+                    assert np.array_equal(column.vector, vector)
         finally:
             closer = getattr(engine, "close", None)
             if closer is not None and engine is not operator:
                 closer()
 
     def test_batch_matches_rwr_mining_loop(self, graph):
-        # Cross-check against the PR-1 batched-RWR path the service
+        # Cross-check against the mining RWR run the service
         # generalises: same operator, same recurrence, same seeds.
         operator = rwr_operator(graph.to_coo())
         n = operator.n_rows
@@ -115,7 +140,7 @@ class TestSeededBatch:
         )
         reference = random_walk_with_restart(
             graph, kernel="cpu-csr", queries=seeds, restart=0.9,
-            tol=1e-8, max_iter=200, batched=True,
+            tol=1e-8, max_iter=200,
         )
         # Engines differ (service plan vs kernel object), so compare up
         # to floating-point associativity; iteration counts are exact.
@@ -336,15 +361,16 @@ class TestLifecycle:
     def test_revalidate_rebuilds_on_environment_change(
         self, service, monkeypatch
     ):
-        # Warm the engine, then shrink the affinity mask under the
+        # Warm the engine, then change the affinity mask under the
         # service: the explicit hook must rebuild, and queries must
         # stay bitwise-correct afterwards.
         first = raise_errors(gather(service, [
             {"graph": "g", "algorithm": "ppr", "seed": 9},
         ]))[0]
         assert service.revalidate() == []  # environment unchanged
+        changed = available_cpu_count() + 1  # never the real count
         monkeypatch.setattr(
-            "repro.exec.sharded.available_cpu_count", lambda: 2
+            "repro.exec.sharded.available_cpu_count", lambda: changed
         )
         assert service.revalidate() == ["g"]
         second = raise_errors(gather(service, [

@@ -22,6 +22,7 @@ from repro.graphs.dynamic import DynamicMatrix, seeded_update_stream
 from repro.graphs.rmat import rmat_graph
 from repro.mining.pagerank import pagerank_operator
 from repro.serve import QueryService, seeded_batch, seeded_solo
+from tests.conftest import reference_solo_walk
 
 N_NODES = 64
 
@@ -60,9 +61,14 @@ class TestBatchProperty:
                 operator, N_NODES, seed, alpha=alpha, tol=1e-9,
                 max_iter=150,
             )
-            assert column.iterations == solo.iterations
-            assert column.converged == solo.converged
+            vector, iterations, converged = reference_solo_walk(
+                operator, N_NODES, seed, alpha=alpha, tol=1e-9,
+                max_iter=150,
+            )
+            assert column.iterations == solo.iterations == iterations
+            assert column.converged == solo.converged == converged
             assert np.array_equal(column.vector, solo.vector)
+            assert np.array_equal(column.vector, vector)
 
     @given(
         seeds=seeds_strategy,
@@ -91,9 +97,14 @@ class TestBatchProperty:
                     operator, N_NODES, seed, alpha=0.85, tol=1e-9,
                     max_iter=150,
                 )
+                vector, iterations, _ = reference_solo_walk(
+                    operator, N_NODES, seed, alpha=0.85, tol=1e-9,
+                    max_iter=150,
+                )
                 assert not column.expired
-                assert column.iterations == solo.iterations
+                assert column.iterations == solo.iterations == iterations
                 assert np.array_equal(column.vector, solo.vector)
+                assert np.array_equal(column.vector, vector)
 
 
 # ----------------------------------------------------------------------

@@ -315,15 +315,12 @@ def test_hits_sharded_matches_default_bitwise():
     assert sharded.extra["n_shards"] == 4
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_rwr_sharded_matches_default_bitwise(batched):
+def test_rwr_sharded_matches_default_bitwise():
     graph = mining_graph(seed=72)
     queries = np.array([5, 19, 63])
-    base = random_walk_with_restart(
-        graph, kernel="csr", queries=queries, batched=batched
-    )
+    base = random_walk_with_restart(graph, kernel="csr", queries=queries)
     sharded = random_walk_with_restart(
-        graph, kernel="csr", queries=queries, batched=batched, n_shards=3
+        graph, kernel="csr", queries=queries, n_shards=3
     )
     assert (
         base.extra["per_query_iterations"]
