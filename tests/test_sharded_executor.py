@@ -315,18 +315,23 @@ def test_hits_sharded_matches_default_bitwise():
     assert sharded.extra["n_shards"] == 4
 
 
-def test_rwr_sharded_matches_default_bitwise():
+@pytest.mark.parametrize("batched", [True, False])
+def test_rwr_sharded_matches_default_bitwise(batched):
+    # batched: all queries walk together in one call; otherwise each
+    # query is its own single-column walk.
     graph = mining_graph(seed=72)
     queries = np.array([5, 19, 63])
-    base = random_walk_with_restart(graph, kernel="csr", queries=queries)
-    sharded = random_walk_with_restart(
-        graph, kernel="csr", queries=queries, n_shards=3
-    )
-    assert (
-        base.extra["per_query_iterations"]
-        == sharded.extra["per_query_iterations"]
-    )
-    assert np.array_equal(base.vector, sharded.vector)
+    groups = [queries] if batched else [queries[i : i + 1] for i in range(3)]
+    for group in groups:
+        base = random_walk_with_restart(graph, kernel="csr", queries=group)
+        sharded = random_walk_with_restart(
+            graph, kernel="csr", queries=group, n_shards=3
+        )
+        assert (
+            base.extra["per_query_iterations"]
+            == sharded.extra["per_query_iterations"]
+        )
+        assert np.array_equal(base.vector, sharded.vector)
 
 
 def test_caller_owned_executor_is_reused_and_left_open():
